@@ -1,27 +1,33 @@
 //! 2D convolution with backpropagation.
 //!
-//! The compute kernels are row-sliced: instead of a bounds-checked
-//! `get()`/`set()` per multiply-accumulate, each kernel tap is applied as a
-//! slice AXPY over a whole output row, which the compiler auto-vectorises.
-//! Tap application order per output element is kept identical to the naive
-//! triple loop (see [`reference`]), so the optimised kernels are **bit-exact**
-//! with the reference — the equivalence is pinned by property tests in
+//! **Inference** (`forward_inference`, `forward`, and the pooled
+//! `forward_into` behind `NnS::infer`) splits the output into
+//! (row band × output channel) work items (`kernel::for_each_band`), so a
+//! single-channel layer such as NN-S conv3 still spreads across threads.
+//! Inside an item, the AVX2 kernel (runtime-detected, `simd` feature) keeps
+//! 4 × 8 output columns in registers: it starts them at the bias and adds
+//! every `(ci, ky, kx)` tap in the reference order as a separate multiply
+//! then add, and stores each output once. The row's interior runs in
+//! 32-column blocks, then 8-column blocks, then one overlapping 8-column
+//! block for the tail; border rows run the same blocks over the valid `ky`
+//! range, and the `pad` edge columns take a scalar loop over the valid taps.
+//! Rows narrower than `2·pad + 8`, and hosts without AVX2, take the
+//! portable path, which applies each tap as a slice AXPY over the band's
+//! rows. Both paths reproduce the naive triple loop in [`reference`]
+//! **bit for bit** at any thread count, pinned by property tests in
 //! `tests/conv_equivalence.rs`.
 //!
-//! Work above [`PAR_MIN_MACS`] is split across cores via `vrd-runtime`
-//! (forward: per output channel; backward: per output channel for weight
-//! gradients, per input channel for the input gradient). The partitions
-//! write disjoint buffers in unchanged per-element order, so results are
-//! independent of the thread count.
+//! **Training** (`backward`) keeps the slice-AXPY kernels, split per
+//! output channel for weight gradients and per input channel for the input
+//! gradient above `PAR_MIN_MACS`. The partitions write disjoint buffers in
+//! unchanged per-element order, so results are independent of the thread
+//! count.
 
+use crate::kernel::{self, PAR_MIN_MACS};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Minimum multiply-accumulate count before a convolution pass fans out
-/// across threads; below this the scoped-thread setup costs more than it
-/// saves.
-const PAR_MIN_MACS: u64 = 8_000_000;
+use std::ops::Range;
 
 /// A stride-1, same-padded `k × k` convolution layer with bias, plus the
 /// plumbing needed to train it (gradient buffers, SGD-momentum state).
@@ -159,19 +165,25 @@ impl Conv2d {
         assert_eq!(x.channels(), self.cin, "conv input channel mismatch");
     }
 
-    /// Computes one output-channel plane of the forward pass.
-    ///
-    /// Bias first, then one slice AXPY per `(ci, ky, kx)` tap — the same
-    /// per-element accumulation order as the naive loop in [`reference`].
-    fn forward_plane(&self, co: usize, xdata: &[f32], h: usize, w: usize, plane: &mut [f32]) {
+    /// Computes rows `rows` of output plane `co` into `band` on the portable
+    /// path: bias first, then one slice AXPY per `(ci, ky, kx)` tap over the
+    /// band's rows — the same per-element accumulation order as the naive
+    /// loop in [`reference`].
+    fn forward_band_portable(
+        &self,
+        co: usize,
+        x: &[&[f32]],
+        (h, w): (usize, usize),
+        rows: Range<usize>,
+        band: &mut [f32],
+    ) {
         let (k, pad) = (self.k, (self.k / 2) as isize);
-        plane.fill(self.b[co]);
-        for ci in 0..self.cin {
-            let xplane = &xdata[ci * h * w..][..h * w];
+        band.fill(self.b[co]);
+        for (ci, xplane) in x.iter().enumerate() {
             for ky in 0..k {
                 let dy = ky as isize - pad;
-                let y0 = (-dy).max(0) as usize;
-                let y1 = (h as isize - dy).min(h as isize).max(0) as usize;
+                let y0 = (-dy).max(rows.start as isize) as usize;
+                let y1 = (h as isize - dy).min(rows.end as isize).max(0) as usize;
                 for kx in 0..k {
                     let dx = kx as isize - pad;
                     let x0 = (-dx).max(0) as usize;
@@ -183,7 +195,7 @@ impl Conv2d {
                     for y in y0..y1 {
                         let sy = (y as isize + dy) as usize;
                         let sx = (x0 as isize + dx) as usize;
-                        let orow = &mut plane[y * w + x0..y * w + x1];
+                        let orow = &mut band[(y - rows.start) * w..][x0..x1];
                         let xrow = &xplane[sy * w + sx..][..x1 - x0];
                         for (o, &xv) in orow.iter_mut().zip(xrow) {
                             *o += wv * xv;
@@ -194,22 +206,62 @@ impl Conv2d {
         }
     }
 
-    /// Slice-level forward kernel: reads a `cin × h × w` input, writes a
-    /// `cout × h × w` output. Used by both the tensor API and the pooled
-    /// scratch-buffer inference path in `NnS`.
-    pub(crate) fn forward_into(&self, xdata: &[f32], h: usize, w: usize, out: &mut [f32]) {
-        assert_eq!(xdata.len(), self.cin * h * w, "conv input length mismatch");
-        assert_eq!(out.len(), self.cout * h * w, "conv output length mismatch");
-        if self.macs(h, w) >= PAR_MIN_MACS && vrd_runtime::max_threads() > 1 {
-            let planes: Vec<(usize, &mut [f32])> = out.chunks_mut(h * w).enumerate().collect();
-            vrd_runtime::parallel_for_each(planes, |(co, plane)| {
-                self.forward_plane(co, xdata, h, w, plane);
-            });
-        } else {
-            for (co, plane) in out.chunks_mut(h * w).enumerate() {
-                self.forward_plane(co, xdata, h, w, plane);
-            }
+    /// Computes rows `rows` of output plane `co` into `band`, on the AVX2
+    /// kernel when `avx2` is set and the row is wide enough for one 8-wide
+    /// block, otherwise on the portable path. Both are bit-exact with
+    /// [`reference::forward`].
+    fn forward_band(
+        &self,
+        co: usize,
+        x: &[&[f32]],
+        hw: (usize, usize),
+        rows: Range<usize>,
+        band: &mut [f32],
+        avx2: bool,
+    ) {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if avx2 && hw.1 >= 2 * (self.k / 2) + x86::LANES {
+            let taps = &self.w[co * self.cin * self.k * self.k..][..self.cin * self.k * self.k];
+            // SAFETY: AVX2 was detected by the caller; every plane of `x`
+            // holds `h·w` values, `taps` holds `cin·k²`, `band` holds
+            // `rows.len()·w` and the row is at least `2·pad + 8` wide —
+            // the contract of `x86::conv_rows`.
+            unsafe { x86::conv_rows(x, taps, self.b[co], self.k, hw, rows, band) };
+            return;
         }
+        let _ = avx2; // read only by the AVX2 branch, which may be compiled out
+        self.forward_band_portable(co, x, hw, rows, band);
+    }
+
+    /// Slice-level forward kernel: reads `cin` input planes of `h × w`
+    /// values each, writes a `cout × h × w` output. Used by the tensor API
+    /// and by the pooled scratch-buffer inference path in `NnS`, which
+    /// hands conv3 its concatenated input as a plane list instead of
+    /// copying it into one buffer.
+    pub(crate) fn forward_into(&self, x: &[&[f32]], h: usize, w: usize, out: &mut [f32]) {
+        self.forward_into_with(x, h, w, out, kernel::avx2_enabled());
+    }
+
+    fn forward_into_with(&self, x: &[&[f32]], h: usize, w: usize, out: &mut [f32], avx2: bool) {
+        assert_eq!(x.len(), self.cin, "conv input channel mismatch");
+        assert!(
+            x.iter().all(|p| p.len() == h * w),
+            "conv input length mismatch"
+        );
+        assert_eq!(out.len(), self.cout * h * w, "conv output length mismatch");
+        let row_bytes = self.cin * w * std::mem::size_of::<f32>();
+        kernel::for_each_band(out, (h, w), row_bytes, self.macs(h, w), |co, rows, band| {
+            self.forward_band(co, x, (h, w), rows, band, avx2);
+        });
+    }
+
+    fn forward_tensor(&self, x: &Tensor, avx2: bool) -> Tensor {
+        self.check_input(x);
+        let (h, w) = (x.height(), x.width());
+        let mut out = Tensor::zeros(self.cout, h, w);
+        let planes: Vec<&[f32]> = (0..self.cin).map(|c| x.channel(c)).collect();
+        self.forward_into_with(&planes, h, w, out.as_mut_slice(), avx2);
+        out
     }
 
     /// Forward pass without gradient bookkeeping: no input clone is cached,
@@ -218,11 +270,19 @@ impl Conv2d {
     /// # Panics
     /// Panics if the input channel count differs from `cin`.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        let (h, w) = (x.height(), x.width());
-        let mut out = Tensor::zeros(self.cout, h, w);
-        self.forward_into(x.as_slice(), h, w, out.as_mut_slice());
-        out
+        self.forward_tensor(x, kernel::avx2_enabled())
+    }
+
+    /// [`Conv2d::forward_inference`] pinned to one kernel: the portable
+    /// row-AXPY path (`avx2 = false`) or the AVX2 path (`avx2 = true`,
+    /// `None` when this build or CPU lacks it). A test hook, so both paths
+    /// are checked against [`reference::forward`] on any machine.
+    ///
+    /// # Panics
+    /// Panics if the input channel count differs from `cin`.
+    #[doc(hidden)]
+    pub fn forward_pinned(&self, x: &Tensor, avx2: bool) -> Option<Tensor> {
+        (!avx2 || kernel::avx2_enabled()).then(|| self.forward_tensor(x, avx2))
     }
 
     /// Forward pass; caches the input for the backward pass.
@@ -460,6 +520,135 @@ impl Conv2d {
     #[cfg(test)]
     fn w_mut(&mut self) -> &mut [f32] {
         &mut self.w
+    }
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod x86 {
+    #[allow(clippy::wildcard_imports)] // the intrinsics namespace is the API
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// f32 lanes per AVX2 register.
+    pub(super) const LANES: usize = 8;
+    /// Output columns one register-blocked step keeps in flight.
+    const BLOCK: usize = 4 * LANES;
+
+    /// Rows `rows` of one output plane into `band` (`rows.len() · w`
+    /// values), bit-exact with the naive reference loop.
+    ///
+    /// The interior columns `[pad, w − pad)` run in 32-column blocks, then
+    /// 8-column blocks, then — when the interior is not a multiple of 8 —
+    /// one 8-column block ending at `w − pad` that overlaps its predecessor
+    /// (every block computes its sums from scratch and plain-stores them,
+    /// so the overlap rewrites identical values). A block holds its sums in
+    /// registers from the bias through every `(ci, ky, kx)` tap in the
+    /// reference order, each tap a separate multiply then add (no FMA), so
+    /// the rounding sequence matches the reference exactly. Rows within
+    /// `pad` of the top or bottom run the same blocks over the valid `ky`
+    /// range only — the taps the reference skips. The `pad` edge columns on
+    /// each side go through [`edge`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. Every plane of `x` holds `h · w` values,
+    /// `taps` holds the `cin · k²` weights of this output channel
+    /// (`cin = x.len()`), `rows` lies within `0..h`, `band` holds
+    /// `rows.len() · w` values and `w ≥ 2 · (k / 2) + 8` — so every 8-lane
+    /// load `src[xb + kx − pad ..]` stays inside its row (`xb ≥ pad`,
+    /// `xb + 8 ≤ w − pad`, `kx ≤ 2 · pad`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_rows(
+        x: &[&[f32]],
+        taps: &[f32],
+        bias: f32,
+        k: usize,
+        (h, w): (usize, usize),
+        rows: Range<usize>,
+        band: &mut [f32],
+    ) {
+        let pad = k / 2;
+        let end = w - pad;
+        for (y, orow) in rows.zip(band.chunks_exact_mut(w)) {
+            // Kernel rows whose source row `y + ky − pad` is inside the image.
+            let ky = pad.saturating_sub(y)..k.min(h + pad - y);
+            let geom = Geom { k, pad, w, y };
+            let mut xb = pad;
+            while xb + BLOCK <= end {
+                block::<4>(x, taps, bias, geom, ky.clone(), xb, orow);
+                xb += BLOCK;
+            }
+            while xb + LANES <= end {
+                block::<1>(x, taps, bias, geom, ky.clone(), xb, orow);
+                xb += LANES;
+            }
+            if xb < end {
+                block::<1>(x, taps, bias, geom, ky.clone(), end - LANES, orow);
+            }
+            for xp in (0..pad).chain(end..w) {
+                orow[xp] = edge(x, taps, bias, geom, ky.clone(), xp);
+            }
+        }
+    }
+
+    /// Where a block sits: kernel size, padding, row width and output row.
+    #[derive(Clone, Copy)]
+    struct Geom {
+        k: usize,
+        pad: usize,
+        w: usize,
+        y: usize,
+    }
+
+    /// `N` registers (`8N` columns from `xb`) of one output row.
+    ///
+    /// # Safety
+    /// The contract of [`conv_rows`], plus `pad ≤ xb` and
+    /// `xb + 8N ≤ w − pad`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn block<const N: usize>(
+        x: &[&[f32]],
+        taps: &[f32],
+        bias: f32,
+        Geom { k, pad, w, y }: Geom,
+        ky: Range<usize>,
+        xb: usize,
+        orow: &mut [f32],
+    ) {
+        let mut acc = [_mm256_set1_ps(bias); N];
+        for (plane, ctaps) in x.iter().zip(taps.chunks_exact(k * k)) {
+            for ky in ky.clone() {
+                let src = plane.as_ptr().add((y + ky - pad) * w + xb - pad);
+                let wrow = ctaps.as_ptr().add(ky * k);
+                for kx in 0..k {
+                    let wv = _mm256_set1_ps(*wrow.add(kx));
+                    for (i, a) in acc.iter_mut().enumerate() {
+                        let xv = _mm256_loadu_ps(src.add(kx + i * LANES));
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+                    }
+                }
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(orow.as_mut_ptr().add(xb + i * LANES), *a);
+        }
+    }
+
+    /// One edge column `xp` (within `pad` of the left or right border):
+    /// the reference's scalar loop over the valid taps.
+    fn edge(x: &[&[f32]], taps: &[f32], bias: f32, g: Geom, ky: Range<usize>, xp: usize) -> f32 {
+        let mut acc = bias;
+        for (plane, ctaps) in x.iter().zip(taps.chunks_exact(g.k * g.k)) {
+            for ky in ky.clone() {
+                let srow = &plane[(g.y + ky - g.pad) * g.w..][..g.w];
+                for (kx, &wv) in ctaps[ky * g.k..][..g.k].iter().enumerate() {
+                    if let Some(&xv) = (xp + kx).checked_sub(g.pad).and_then(|sx| srow.get(sx)) {
+                        acc += wv * xv;
+                    }
+                }
+            }
+        }
+        acc
     }
 }
 

@@ -27,6 +27,7 @@
 
 pub mod conv;
 pub mod featwarp;
+mod kernel;
 pub mod largenet;
 pub mod layers;
 pub mod loss;

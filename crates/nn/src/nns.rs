@@ -23,6 +23,12 @@ pub const SANDWICH_CHANNELS: usize = 3;
 /// frames so steady-state refinement does not allocate per call.
 static SCRATCH: BufferPool = BufferPool::new();
 
+/// Splits a channel-major buffer into its `hw`-value planes (the input
+/// form of `Conv2d::forward_into`).
+fn planes(data: &[f32], hw: usize) -> Vec<&[f32]> {
+    data.chunks_exact(hw).collect()
+}
+
 /// Element-wise tensor addition.
 fn add(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.len(), b.len(), "tensor addition shape mismatch");
@@ -132,13 +138,15 @@ impl NnS {
             let (hw, hid) = (h * w, self.hidden);
             in_max = in_max.max(abs_max(x.as_slice()));
             let mut a1 = SCRATCH.take(hid * hw);
-            self.conv1.forward_into(x.as_slice(), h, w, &mut a1);
+            self.conv1
+                .forward_into(&planes(x.as_slice(), hw), h, w, &mut a1);
             relu_in_place(&mut a1);
             a1_max = a1_max.max(abs_max(&a1));
             let mut d = SCRATCH.take(hid * hw / 4);
             maxpool2_into(&a1, hid, h, w, &mut d);
             let mut a2 = SCRATCH.take(hid * hw / 4);
-            self.conv2.forward_into(&d, h / 2, w / 2, &mut a2);
+            self.conv2
+                .forward_into(&planes(&d, hw / 4), h / 2, w / 2, &mut a2);
             relu_in_place(&mut a2);
             a2_max = a2_max.max(abs_max(&a2));
         }
@@ -214,16 +222,20 @@ impl NnS {
         assert!(h % 2 == 0 && w % 2 == 0, "max-pool needs even dimensions");
         let (hw, hid) = (h * w, self.hidden);
         let mut a1 = SCRATCH.take(hid * hw);
-        self.conv1.forward_into(x.as_slice(), h, w, &mut a1);
+        self.conv1
+            .forward_into(&planes(x.as_slice(), hw), h, w, &mut a1);
         relu_in_place(&mut a1);
         let mut d = SCRATCH.take(hid * hw / 4);
         maxpool2_into(&a1, hid, h, w, &mut d);
         let mut a2 = SCRATCH.take(hid * hw / 4);
-        self.conv2.forward_into(&d, h / 2, w / 2, &mut a2);
+        self.conv2
+            .forward_into(&planes(&d, hw / 4), h / 2, w / 2, &mut a2);
         relu_in_place(&mut a2);
-        let mut cat = SCRATCH.take(2 * hid * hw);
-        cat[..hid * hw].copy_from_slice(&a1);
-        upsample2_into(&a2, hid, h / 2, w / 2, &mut cat[hid * hw..]);
+        let mut up = SCRATCH.take(hid * hw);
+        upsample2_into(&a2, hid, h / 2, w / 2, &mut up);
+        // conv3 reads the concat [a1, up] as a plane list, not a copy.
+        let mut cat = planes(&a1, hw);
+        cat.extend(planes(&up, hw));
         let mut out = vec![0.0; hw];
         self.conv3.forward_into(&cat, h, w, &mut out);
         sigmoid_in_place(&mut out);

@@ -28,7 +28,9 @@
 //! `i16` lanes, multiplies two taps per step (`127·127` fits `i16`, the
 //! pair-sum too), and widens to `i32` accumulators held in registers — 32
 //! MACs per 9 vector ops, no loads/stores of the accumulator row. Both
-//! compute identical integers.
+//! compute identical integers. Layers are split into (row band × output
+//! channel) work items by the partitioner the f32 kernel uses, so the
+//! single-channel conv3 halves spread across threads too.
 //!
 //! [`QuantNnS`] wires three [`QuantConv2d`]s into the NN-S topology.
 //! The final concat feeding conv3 mixes two activation scales (`a1` and
@@ -39,17 +41,15 @@
 //! directly on `u8` planes.
 
 use crate::conv::Conv2d;
+use crate::kernel;
 use crate::layers::sigmoid_in_place;
 use crate::nns::{NnS, SANDWICH_CHANNELS};
 use crate::tensor::Tensor;
+use std::ops::Range;
 use vrd_runtime::BufferPool;
 
 /// Largest quantized activation value (7-bit unsigned; see module docs).
 pub const QMAX: i32 = 127;
-
-/// Minimum multiply-accumulate count before a quantized convolution fans
-/// out across threads (same threshold as the f32 kernels).
-const PAR_MIN_MACS: u64 = 8_000_000;
 
 /// Scratch pools for the quantized inference path: `u8` activation planes
 /// and `i32` accumulator planes, recycled across frames.
@@ -324,10 +324,18 @@ impl QuantConv2d {
         );
     }
 
-    /// Accumulates one output-channel plane into `acc` (which the caller
-    /// zeroed). Dispatches to the AVX2 inner loop when compiled in and
-    /// detected at runtime; otherwise runs the portable tap-AXPY.
-    fn accumulate_plane(&self, co: usize, x: &[u8], h: usize, w: usize, acc: &mut [i32]) {
+    /// Accumulates rows `rows` of output plane `co` into `acc` (which the
+    /// caller zeroed; `rows.len() · w` values). Dispatches to the AVX2
+    /// inner loop when compiled in and detected at runtime; otherwise runs
+    /// the portable tap-AXPY.
+    fn accumulate_rows(
+        &self,
+        co: usize,
+        x: &[u8],
+        (h, w): (usize, usize),
+        rows: Range<usize>,
+        acc: &mut [i32],
+    ) {
         let (k, pad) = (self.k, self.k / 2);
         // Valid tap rows for the current output row: (source row, k taps).
         let mut entries: Vec<(&[u8], &[i8])> = Vec::with_capacity(self.cin * k);
@@ -335,7 +343,7 @@ impl QuantConv2d {
         // reused across rows.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         let mut wpack: Vec<i32> = Vec::with_capacity(self.cin * k * k);
-        for y in 0..h {
+        for y in rows.clone() {
             entries.clear();
             for ci in 0..self.cin {
                 for ky in 0..k {
@@ -348,9 +356,9 @@ impl QuantConv2d {
                     entries.push((src, wrow));
                 }
             }
-            let row = &mut acc[y * w..][..w];
+            let row = &mut acc[(y - rows.start) * w..][..w];
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if avx2_enabled() && w >= 2 * pad + 16 {
+            if kernel::avx2_enabled() && w >= 2 * pad + 16 {
                 // SAFETY: AVX2 was detected; `x86::accumulate_row` only
                 // touches indices in [0, w) of each entry row and
                 // [pad, interior_end) of `row` (see its contract).
@@ -364,7 +372,7 @@ impl QuantConv2d {
         }
     }
 
-    /// Requantizes one accumulator plane into `u8` activations.
+    /// Requantizes a band of accumulators into `u8` activations.
     /// Dispatches to the AVX2 lane-parallel path when it is provably exact
     /// for this layer's accumulator range (see [`Requant::vector_safe`]);
     /// otherwise applies the scalar definition element-wise.
@@ -372,7 +380,7 @@ impl QuantConv2d {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         {
             let acc_bound = (self.cin * self.k * self.k) as i64 * (QMAX as i64) * (QMAX as i64);
-            if avx2_enabled() && rq.vector_safe(acc_bound) {
+            if kernel::avx2_enabled() && rq.vector_safe(acc_bound) {
                 // SAFETY: AVX2 was detected and the range precondition of
                 // `requant_slice` was just checked.
                 unsafe { x86::requant_slice(rq, acc, out) };
@@ -381,19 +389,6 @@ impl QuantConv2d {
         }
         for (o, &a) in out.iter_mut().zip(acc) {
             *o = rq.apply(a);
-        }
-    }
-
-    fn forward_planes<F>(&self, h: usize, w: usize, run: F, n_planes: usize)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.macs(h, w) >= PAR_MIN_MACS && vrd_runtime::max_threads() > 1 {
-            vrd_runtime::parallel_for_each((0..n_planes).collect(), &run);
-        } else {
-            for co in 0..n_planes {
-                run(co);
-            }
         }
     }
 
@@ -406,22 +401,15 @@ impl QuantConv2d {
     /// above 127.
     pub fn forward_i32(&self, x: &[u8], h: usize, w: usize, out: &mut [i32]) {
         self.check_forward(x, h, w, out.len());
-        let planes = std::sync::Mutex::new(
-            out.chunks_mut(h * w)
-                .map(Some)
-                .collect::<Vec<Option<&mut [i32]>>>(),
-        );
-        self.forward_planes(
-            h,
-            w,
-            |co| {
-                let plane = planes.lock().expect("plane handout lock")[co]
-                    .take()
-                    .expect("each plane is taken once");
-                plane.fill(0);
-                self.accumulate_plane(co, x, h, w, plane);
+        kernel::for_each_band(
+            out,
+            (h, w),
+            self.cin * w,
+            self.macs(h, w),
+            |co, rows, band| {
+                band.fill(0);
+                self.accumulate_rows(co, x, (h, w), rows, band);
             },
-            self.cout,
         );
     }
 
@@ -433,23 +421,16 @@ impl QuantConv2d {
     pub fn forward_requant(&self, x: &[u8], h: usize, w: usize, rq: &[Requant], out: &mut [u8]) {
         self.check_forward(x, h, w, out.len());
         assert_eq!(rq.len(), self.cout, "one requant per output channel");
-        let planes = std::sync::Mutex::new(
-            out.chunks_mut(h * w)
-                .map(Some)
-                .collect::<Vec<Option<&mut [u8]>>>(),
-        );
-        self.forward_planes(
-            h,
-            w,
-            |co| {
-                let plane = planes.lock().expect("plane handout lock")[co]
-                    .take()
-                    .expect("each plane is taken once");
-                let mut acc = SCRATCH_I32.take(h * w);
-                self.accumulate_plane(co, x, h, w, &mut acc);
-                self.requant_plane(&rq[co], &acc, plane);
+        kernel::for_each_band(
+            out,
+            (h, w),
+            self.cin * w,
+            self.macs(h, w),
+            |co, rows, band| {
+                let mut acc = SCRATCH_I32.take(band.len());
+                self.accumulate_rows(co, x, (h, w), rows, &mut acc);
+                self.requant_plane(&rq[co], &acc, band);
             },
-            self.cout,
         );
     }
 }
@@ -500,13 +481,6 @@ fn scalar_columns(
         }
         *cell = acc;
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx2_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -1014,6 +988,23 @@ mod tests {
         conv.forward_i32(&x, 12, 61, &mut fast);
         assert_eq!(fast, reference::forward_i32(&conv, &x, 12, 61));
         assert_eq!(fast, reference::forward_i32_portable(&conv, &x, 12, 61));
+    }
+
+    #[test]
+    fn single_channel_layer_splits_into_row_bands_exactly() {
+        // Past the parallel threshold a one-plane layer (NN-S conv3) is
+        // cut into row bands; every split must give the reference sums.
+        let (cin, h, w) = (16, 240, 240);
+        let wts: Vec<f32> = (0..cin * 9).map(|i| (i as f32 * 0.61).sin()).collect();
+        let conv = QuantConv2d::from_weights(cin, 1, 3, &wts);
+        assert!(conv.macs(h, w) >= crate::kernel::PAR_MIN_MACS);
+        let x = test_input(cin, h, w, 5);
+        let want = reference::forward_i32(&conv, &x, h, w);
+        for budget in [1, 2, 3] {
+            let mut got = vec![0i32; h * w];
+            vrd_runtime::with_thread_budget(budget, || conv.forward_i32(&x, h, w, &mut got));
+            assert_eq!(got, want, "thread budget {budget}");
+        }
     }
 
     #[test]
