@@ -590,9 +590,10 @@ pub struct StepWork {
 /// `ip_Q`/`b_Q` frame queues between the decoder and the NPU.
 const DEFAULT_STAGE_CAPACITY: usize = 8;
 
-/// Tuning knobs of [`PipelineEngine::run_pipelined`]. `Default` resolves
-/// both: worker count from [`vrd_runtime::max_threads`] (which honours
-/// `VRD_THREADS`), channel capacity from [`DEFAULT_STAGE_CAPACITY`].
+/// Tuning knobs of the two-lane layout of [`PipelineEngine::run_with`].
+/// `Default` resolves both: worker count from [`vrd_runtime::max_threads`]
+/// (which honours `VRD_THREADS`), channel capacity from
+/// `DEFAULT_STAGE_CAPACITY` (8).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Wave-front worker threads for B-frame reconstruction + refinement
@@ -632,13 +633,8 @@ struct ReconJob {
 /// reference-window mutation, executed together (fanned out across
 /// `threads` workers) when the next mutation — or the end of the stream —
 /// forces a barrier.
-///
-/// Do not interleave [`PipelineEngine::checkpoint`] /
-/// [`PipelineEngine::restore`] with a non-empty wave: the snapshot cannot
-/// see deferred jobs. The serving layer's checkpointed driver stays on the
-/// sequential [`PipelineEngine::step`] for exactly this reason.
 #[derive(Debug)]
-pub struct PipelineWave {
+struct PipelineWave {
     jobs: Vec<ReconJob>,
     threads: usize,
     flush_threshold: usize,
@@ -646,7 +642,7 @@ pub struct PipelineWave {
 
 impl PipelineWave {
     /// An empty wave fanning out over `threads` (≥ 1) workers.
-    pub fn new(threads: usize) -> Self {
+    fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         Self {
             jobs: Vec::new(),
@@ -656,11 +652,6 @@ impl PipelineWave {
             // streams that lose every anchor (no barrier would ever fire).
             flush_threshold: (2 * MASK_WINDOW).max(2 * threads),
         }
-    }
-
-    /// Deferred jobs currently in the wave.
-    pub fn pending(&self) -> usize {
-        self.jobs.len()
     }
 }
 
@@ -699,15 +690,21 @@ fn exec_recon(
 /// The generic streaming engine: a task, a fault policy, and a shared model
 /// configuration, executed over any [`FrameSource`].
 ///
-/// Two driving styles share the same stage ladder:
+/// One driver, [`PipelineEngine::run_with`], owns the whole cycle — prime,
+/// step every unit in decode order, drain, finish — on either lane layout:
+/// inline on the calling thread, or with a decode-lane thread feeding the
+/// stage ladder through a bounded stage channel while each GOP's B-frame
+/// masks fan out wave-front-style. Its hook sees every [`StepWork`] the
+/// ladder emits, which is how callers observe a run (the `vrd-serve`
+/// session capture stamps decoder-lane times and snapshots checkpoints
+/// there). [`PipelineEngine::run`] and [`PipelineEngine::run_pipelined`] are
+/// the hookless calls of the two layouts.
 ///
-/// * [`PipelineEngine::run`] — pull a source to exhaustion (the classic
-///   single-stream entry points);
-/// * [`PipelineEngine::prime`] / [`PipelineEngine::step`] /
-///   [`PipelineEngine::finish`] — resumable stepping for callers that
-///   interleave many streams over shared hardware (the `vrd-serve` session
-///   layer): feed one [`DecodedUnit`] at a time, observe the [`StepWork`]
-///   it put on the NPU, and close the books when the stream ends.
+/// Callers that must interleave streams unit by unit keep the resumable
+/// [`PipelineEngine::prime`] / [`PipelineEngine::step`] /
+/// [`PipelineEngine::finish`] API: feed one [`DecodedUnit`] at a time,
+/// observe the [`StepWork`] it put on the NPU, and close the books when the
+/// stream ends.
 #[derive(Debug)]
 pub struct PipelineEngine<'a, T, P> {
     cfg: &'a VrDannConfig,
@@ -731,8 +728,8 @@ pub struct PipelineEngine<'a, T, P> {
     // Set once an anchor is lost; the next decodable B-frame goes
     // through NN-L to re-establish a trusted reference.
     pending_refetch: bool,
-    // High-water mark of the decode→compute stage channel (0 unless a
-    // pipelined driver reported one via `note_peak_inflight`).
+    // High-water mark of the decode→compute stage channel (0 unless
+    // `run_with` drove the source on the decode lane).
     peak_inflight_units: usize,
 }
 
@@ -757,13 +754,6 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
             pending_refetch: false,
             peak_inflight_units: 0,
         }
-    }
-
-    /// Records the stage channel's occupancy high-water mark so
-    /// [`PipelineEngine::finish`] can report it (pipelined drivers only;
-    /// keeps the larger of repeated reports).
-    pub fn note_peak_inflight(&mut self, peak: usize) {
-        self.peak_inflight_units = self.peak_inflight_units.max(peak);
     }
 
     /// Prepares the engine for a stream: caches the stream geometry and
@@ -870,38 +860,6 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// [`PipelineEngine::prime`], and propagates reconstruction failures.
     pub fn step(&mut self, unit: DecodedUnit) -> Result<Option<StepWork>> {
         self.step_impl(unit, None)
-    }
-
-    /// [`PipelineEngine::step`] with wave-front deferral: everything
-    /// stateful (routing, sanitisation, the fault lottery, trace emission)
-    /// still happens here, in decode order, but a B-frame's pure mask
-    /// computation is parked in `wave` instead of executed inline. The
-    /// engine flushes the wave itself before any reference-window mutation;
-    /// the caller only owes a final [`PipelineEngine::drain_wave`] once the
-    /// stream ends. The returned [`StepWork`] is identical to the
-    /// sequential driver's (it derives from the plan, not the masks).
-    ///
-    /// # Errors
-    /// As [`PipelineEngine::step`]; a forced wave flush can surface a
-    /// reconstruction failure from an earlier deferred unit.
-    pub fn step_pipelined(
-        &mut self,
-        unit: DecodedUnit,
-        wave: &mut PipelineWave,
-    ) -> Result<Option<StepWork>> {
-        self.step_impl(unit, Some(wave))
-    }
-
-    /// Executes every job still parked in `wave`, fanning out across its
-    /// worker threads. Must be called (repeatedly, if it errors) before
-    /// [`PipelineEngine::finish`] when driving with
-    /// [`PipelineEngine::step_pipelined`].
-    ///
-    /// # Errors
-    /// Propagates the decode-order-first reconstruction failure among the
-    /// deferred jobs.
-    pub fn drain_wave(&mut self, wave: &mut PipelineWave) -> Result<()> {
-        self.flush_wave(wave)
     }
 
     /// Executes and stores the wave's deferred jobs: reconstruct + refine
@@ -1235,57 +1193,47 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         })
     }
 
-    /// Drives the source to exhaustion through the stage ladder — the
-    /// prime/step/finish cycle in one call (see [`PipelineEngine::prime`]
-    /// for the `prepopulate` contract).
+    /// The engine's one driver: primes it for `source` (see
+    /// [`PipelineEngine::prime`] for the `prepopulate` contract), steps
+    /// every decoded unit through the stage ladder in decode order, drains
+    /// the deferred work and closes the books.
+    ///
+    /// `exec` picks the lane layout. `None` runs everything inline on the
+    /// calling thread. `Some(opts)` runs **two lanes**: a decode-lane
+    /// thread owns the source and pushes [`DecodedUnit`]s through a bounded
+    /// SPSC stage channel (the software `ip_Q`/`b_Q`), while this thread
+    /// plans units in decode order and parks each B-frame's pure mask
+    /// computation in a wave that fans out across `opts.threads` workers
+    /// at the next reference-window mutation. Every stateful decision
+    /// still executes sequentially in decode order, so outputs, traces and
+    /// concealment counters are bit-identical across layouts and thread
+    /// counts. Memory stays bounded: the source keeps its own O(GOP)
+    /// window, at most `opts.channel_capacity` units sit in the channel,
+    /// and a wave holds at most O(GOP) deferred jobs.
+    ///
+    /// `on_work` runs on the calling thread after each unit that put work
+    /// on the NPU, with the unit's decode index (units that emit nothing
+    /// still advance it), the emitted [`StepWork`] and the engine. Under
+    /// `Some(opts)` the engine may still hold deferred wave jobs at that
+    /// point, which a [`PipelineEngine::checkpoint`] cannot see: only the
+    /// inline layout may checkpoint from the hook.
     ///
     /// # Errors
-    /// Propagates source decode errors (strict sources only) and
-    /// reconstruction failures.
-    pub fn run<S: FrameSource>(
-        mut self,
-        mut source: S,
-        prepopulate: &[u32],
-    ) -> Result<EngineRun<T::Output>> {
-        self.prime(&source.info(), prepopulate);
-        while let Some(unit) = source.next_unit() {
-            self.step(unit?)?;
-        }
-        let totals = source.totals();
-        let peak = source.peak_live_frames();
-        self.finish(totals, peak)
-    }
-
-    /// Drives the source to exhaustion on **two lanes**: a decode-lane
-    /// worker thread owns the source and pulls [`DecodedUnit`]s through a
-    /// bounded SPSC stage channel (the software `ip_Q`/`b_Q`), while this
-    /// thread plans units in decode order and fans each GOP's B-frame
-    /// reconstructions out wave-front-style across `opts.threads` workers.
-    ///
-    /// A drop-in sibling of [`PipelineEngine::run`]: same `prepopulate`
-    /// contract, works for every [`TaskPolicy`] × [`FaultPolicy`], and
-    /// produces bit-identical outputs, traces and concealment counters at
-    /// every thread count — all stateful decisions still execute
-    /// sequentially in decode order; only pure per-frame mask computation
-    /// runs concurrently. Memory stays bounded: the source keeps its own
-    /// O(GOP) window, at most `opts.channel_capacity` decoded units sit in
-    /// the channel, and a wave holds at most O(GOP) deferred jobs.
-    ///
-    /// Checkpoint/restore is not available mid-run here (see
-    /// [`PipelineWave`]); use the sequential stepping API for that.
-    ///
-    /// # Errors
-    /// As [`PipelineEngine::run`]. On a source decode error the decode
-    /// lane shuts down and the error is reported after the lanes join.
-    pub fn run_pipelined<S: FrameSource + Send>(
+    /// Propagates source decode errors (strict sources only),
+    /// reconstruction failures and hook errors. On a decode error the
+    /// decode lane stops, the lanes join, and then the error is returned.
+    pub fn run_with<S: FrameSource + Send>(
         mut self,
         source: S,
         prepopulate: &[u32],
-        opts: &PipelineOptions,
+        exec: Option<&PipelineOptions>,
+        mut on_work: impl FnMut(usize, StepWork, &Self) -> Result<()>,
     ) -> Result<EngineRun<T::Output>> {
+        let Some(opts) = exec else {
+            return self.run_inline(source, prepopulate, on_work);
+        };
         self.prime(&source.info(), prepopulate);
-        let threads = opts.resolved_threads();
-        let mut wave = PipelineWave::new(threads);
+        let mut wave = PipelineWave::new(opts.resolved_threads());
         let (tx, rx) = vrd_runtime::stage_channel(opts.resolved_capacity());
         let (stepped, totals, peak_frames) = std::thread::scope(|s| {
             let decode_lane = s.spawn(move || {
@@ -1301,24 +1249,82 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 }
                 (source.totals(), source.peak_live_frames())
             });
-            let mut stepped = Ok(());
-            while let Some(unit) = rx.recv() {
-                let advanced = unit
-                    .map_err(VrDannError::from)
-                    .and_then(|u| self.step_pipelined(u, &mut wave).map(|_| ()));
-                if let Err(e) = advanced {
-                    stepped = Err(e);
-                    break;
-                }
-            }
-            self.note_peak_inflight(rx.peak_len());
+            let stepped = self.step_all(
+                std::iter::from_fn(|| rx.recv()),
+                Some(&mut wave),
+                &mut on_work,
+            );
+            self.peak_inflight_units = rx.peak_len();
             drop(rx);
             let (totals, peak_frames) = decode_lane.join().expect("decode lane never panics");
             (stepped, totals, peak_frames)
         });
         stepped?;
-        self.drain_wave(&mut wave)?;
+        self.flush_wave(&mut wave)?;
         self.finish(totals, peak_frames)
+    }
+
+    /// The inline layout of [`PipelineEngine::run_with`]. Spawns no thread,
+    /// so the source need not be `Send`.
+    fn run_inline<S: FrameSource>(
+        mut self,
+        mut source: S,
+        prepopulate: &[u32],
+        mut on_work: impl FnMut(usize, StepWork, &Self) -> Result<()>,
+    ) -> Result<EngineRun<T::Output>> {
+        self.prime(&source.info(), prepopulate);
+        self.step_all(
+            std::iter::from_fn(|| source.next_unit()),
+            None,
+            &mut on_work,
+        )?;
+        self.finish(source.totals(), source.peak_live_frames())
+    }
+
+    /// Steps every unit `units` yields, in decode order, deferring B-frame
+    /// masks into `wave` when there is one, and hands each emission to
+    /// `on_work` with the index of the unit that triggered it. Stops at the
+    /// first error.
+    fn step_all(
+        &mut self,
+        units: impl Iterator<Item = vrd_codec::Result<DecodedUnit>>,
+        mut wave: Option<&mut PipelineWave>,
+        on_work: &mut impl FnMut(usize, StepWork, &Self) -> Result<()>,
+    ) -> Result<()> {
+        for (k, unit) in units.enumerate() {
+            if let Some(work) = self.step_impl(unit?, wave.as_deref_mut())? {
+                on_work(k, work, self)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`PipelineEngine::run_with`] inline, without a hook: the source
+    /// pulled to exhaustion on the calling thread.
+    ///
+    /// # Errors
+    /// As [`PipelineEngine::run_with`].
+    pub fn run<S: FrameSource>(
+        self,
+        source: S,
+        prepopulate: &[u32],
+    ) -> Result<EngineRun<T::Output>> {
+        self.run_inline(source, prepopulate, |_, _, _| Ok(()))
+    }
+
+    /// [`PipelineEngine::run_with`] on two lanes, without a hook: a drop-in
+    /// sibling of [`PipelineEngine::run`] for every [`TaskPolicy`] ×
+    /// [`FaultPolicy`], bit-identical to it at every thread count.
+    ///
+    /// # Errors
+    /// As [`PipelineEngine::run_with`].
+    pub fn run_pipelined<S: FrameSource + Send>(
+        self,
+        source: S,
+        prepopulate: &[u32],
+        opts: &PipelineOptions,
+    ) -> Result<EngineRun<T::Output>> {
+        self.run_with(source, prepopulate, Some(opts), |_, _, _| Ok(()))
     }
 }
 

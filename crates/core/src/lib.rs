@@ -48,7 +48,7 @@ pub mod vrdann;
 pub use components::{boxes_to_mask, extract_components};
 pub use engine::{
     ConcealingPolicy, DetTask, EngineCheckpoint, EngineRun, FaultPolicy, PipelineEngine,
-    PipelineOptions, PipelineWave, PolicyCheckpoint, SegTask, StepWork, StrictPolicy, TaskPolicy,
+    PipelineOptions, PolicyCheckpoint, SegTask, StepWork, StrictPolicy, TaskPolicy,
 };
 pub use error::{Result, VrDannError};
 pub use featprop::FeatPropTask;

@@ -11,16 +11,18 @@
 
 use crate::components::boxes_to_mask;
 use crate::engine::{
-    ConcealingPolicy, DetTask, EngineRun, PipelineEngine, PipelineOptions, SegTask, StrictPolicy,
+    ConcealingPolicy, DetTask, EngineRun, FaultPolicy, PipelineEngine, PipelineOptions, SegTask,
+    StrictPolicy, TaskPolicy,
 };
 use crate::error::{Result, VrDannError};
+use crate::featprop::FeatPropTask;
 use crate::recon::{reconstruct_b_frame, ReconConfig};
 use crate::sandwich::{build_reconstruction_only, build_sandwich};
 use crate::trace::{ConcealmentStats, SchemeTrace};
 use std::collections::BTreeMap;
 use vrd_codec::faults::PacketStream;
 use vrd_codec::{
-    CodecConfig, Decoder, EncodedVideo, Encoder, FrameSource, ResilientFrameSource,
+    CodecConfig, Decoder, EncodedVideo, Encoder, FrameSource, ResilientFrameSource, StreamInfo,
     StrictFrameSource,
 };
 use vrd_nn::{trainer, ComputeMode, LargeNet, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
@@ -296,6 +298,54 @@ impl VrDann {
         Ok(Encoder::new(self.cfg.codec).encode(&seq.frames)?)
     }
 
+    /// Builds the engine for the task `task` makes from the stream's
+    /// geometry and drives `source` through it (see
+    /// [`PipelineEngine::run_with`] for `prepopulate` and `exec`) — the
+    /// body every entry point shares.
+    fn drive<S, T, P, R>(
+        &self,
+        source: S,
+        prepopulate: &[u32],
+        policy: P,
+        exec: Option<&PipelineOptions>,
+        task: impl FnOnce(&StreamInfo) -> T,
+    ) -> Result<R>
+    where
+        S: FrameSource + Send,
+        T: TaskPolicy,
+        P: FaultPolicy,
+        R: From<EngineRun<T::Output>>,
+    {
+        let task = task(&source.info());
+        let run = PipelineEngine::new(&self.cfg, &self.nns, task, policy).run_with(
+            source,
+            prepopulate,
+            exec,
+            |_, _, _| Ok(()),
+        )?;
+        Ok(run.into())
+    }
+
+    /// The segmentation task for `seq` on a stream of geometry `info`.
+    fn seg_task<'s>(&self, seq: &'s Sequence, info: &StreamInfo) -> SegTask<'s> {
+        SegTask::new(
+            seq,
+            LargeNet::new(self.cfg.segment_profile),
+            self.cfg.seed,
+            info,
+        )
+    }
+
+    /// The detection task for `seq` on a stream of geometry `info`.
+    fn det_task<'s>(&self, seq: &'s Sequence, info: &StreamInfo) -> DetTask<'s> {
+        DetTask::new(
+            seq,
+            LargeNet::new(self.cfg.detect_profile),
+            self.cfg.seed,
+            info,
+        )
+    }
+
     /// Runs video segmentation on an encoded sequence (Fig. 5's flow): the
     /// strict segmentation configuration of the streaming engine.
     ///
@@ -306,17 +356,37 @@ impl VrDann {
         seq: &Sequence,
         encoded: &EncodedVideo,
     ) -> Result<SegmentationRun> {
+        self.run_segmentation_on(seq, encoded, None)
+    }
+
+    /// [`VrDann::run_segmentation`] on the two-lane layout of
+    /// [`PipelineEngine::run_with`]: the decoder runs on its own
+    /// thread and each GOP's B-frame reconstructions fan out across the
+    /// wave-front pool. Outputs, trace and concealment counters are
+    /// bit-identical to the sequential entry point at every thread count.
+    ///
+    /// # Errors
+    /// As [`VrDann::run_segmentation`].
+    pub fn run_segmentation_pipelined(
+        &self,
+        seq: &Sequence,
+        encoded: &EncodedVideo,
+        opts: &PipelineOptions,
+    ) -> Result<SegmentationRun> {
+        self.run_segmentation_on(seq, encoded, Some(opts))
+    }
+
+    /// Strict segmentation on the lane layout `exec` picks.
+    fn run_segmentation_on(
+        &self,
+        seq: &Sequence,
+        encoded: &EncodedVideo,
+        exec: Option<&PipelineOptions>,
+    ) -> Result<SegmentationRun> {
         let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run(source, &[])?;
-        Ok(run.into())
+        self.drive(source, &[], StrictPolicy::default(), exec, |info| {
+            self.seg_task(seq, info)
+        })
     }
 
     /// Runs the feature-space propagation baseline (Jain & Gonzalez) on an
@@ -339,16 +409,14 @@ impl VrDann {
         encoded: &EncodedVideo,
     ) -> Result<SegmentationRun> {
         let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = crate::featprop::FeatPropTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run(source, &[])?;
-        Ok(run.into())
+        self.drive(source, &[], StrictPolicy::default(), None, |info| {
+            FeatPropTask::new(
+                seq,
+                LargeNet::new(self.cfg.segment_profile),
+                self.cfg.seed,
+                info,
+            )
+        })
     }
 
     /// Runs video detection (§III-B): anchor boxes from NN-L are rasterised
@@ -360,16 +428,9 @@ impl VrDann {
     /// Fails on malformed bitstreams or missing references.
     pub fn run_detection(&self, seq: &Sequence, encoded: &EncodedVideo) -> Result<DetectionRun> {
         let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run(source, &[])?;
-        Ok(run.into())
+        self.drive(source, &[], StrictPolicy::default(), None, |info| {
+            self.det_task(seq, info)
+        })
     }
 
     /// Runs segmentation on a (possibly damaged) packetized stream,
@@ -400,17 +461,14 @@ impl VrDann {
         opts: &ResilienceOptions,
     ) -> Result<SegmentationRun> {
         let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
         let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run(source, &prepopulate)?;
-        Ok(run.into())
+        self.drive(
+            source,
+            &prepopulate,
+            ConcealingPolicy::new(opts),
+            None,
+            |info| self.seg_task(seq, info),
+        )
     }
 
     /// Runs detection on a (possibly damaged) packetized stream with the
@@ -426,148 +484,14 @@ impl VrDann {
         opts: &ResilienceOptions,
     ) -> Result<DetectionRun> {
         let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
         let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run(source, &prepopulate)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_segmentation`] on the two-lane pipelined executor
-    /// ([`PipelineEngine::run_pipelined`]): the decoder runs on its own
-    /// thread and each GOP's B-frame reconstructions fan out across the
-    /// wave-front pool. Outputs, trace and concealment counters are
-    /// bit-identical to the sequential entry point at every thread count.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_segmentation`].
-    pub fn run_segmentation_pipelined(
-        &self,
-        seq: &Sequence,
-        encoded: &EncodedVideo,
-        opts: &PipelineOptions,
-    ) -> Result<SegmentationRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run_pipelined(source, &[], opts)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_detection`] on the pipelined executor; bit-identical
-    /// to the sequential entry point at every thread count.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_detection`].
-    pub fn run_detection_pipelined(
-        &self,
-        seq: &Sequence,
-        encoded: &EncodedVideo,
-        opts: &PipelineOptions,
-    ) -> Result<DetectionRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run_pipelined(source, &[], opts)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_feature_propagation`] on the pipelined executor. The
-    /// propagating task consumes B-frames at plan time (feature-space
-    /// warps are engine state), so the wave only ever carries the
-    /// mask-space ladder's work — still bit-identical at every thread
-    /// count.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_feature_propagation`].
-    pub fn run_feature_propagation_pipelined(
-        &self,
-        seq: &Sequence,
-        encoded: &EncodedVideo,
-        opts: &PipelineOptions,
-    ) -> Result<SegmentationRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = crate::featprop::FeatPropTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run_pipelined(source, &[], opts)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_segmentation_resilient`] on the pipelined executor.
-    /// The degradation ladder (sanitisation, lottery draws, refetches)
-    /// executes sequentially in decode order exactly as in the sequential
-    /// driver, so concealment statistics are bit-identical too.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_segmentation_resilient`].
-    pub fn run_segmentation_resilient_pipelined(
-        &self,
-        seq: &Sequence,
-        stream: &PacketStream,
-        opts: &ResilienceOptions,
-        pipe: &PipelineOptions,
-    ) -> Result<SegmentationRun> {
-        let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
-        let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run_pipelined(source, &prepopulate, pipe)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_detection_resilient`] on the pipelined executor.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_detection_resilient`].
-    pub fn run_detection_resilient_pipelined(
-        &self,
-        seq: &Sequence,
-        stream: &PacketStream,
-        opts: &ResilienceOptions,
-        pipe: &PipelineOptions,
-    ) -> Result<DetectionRun> {
-        let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
-        let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run_pipelined(source, &prepopulate, pipe)?;
-        Ok(run.into())
+        self.drive(
+            source,
+            &prepopulate,
+            ConcealingPolicy::new(opts),
+            None,
+            |info| self.det_task(seq, info),
+        )
     }
 
     /// Runs segmentation over many (sequence, bitstream) jobs concurrently
@@ -579,15 +503,6 @@ impl VrDann {
         jobs: &[(&Sequence, &EncodedVideo)],
     ) -> Vec<Result<SegmentationRun>> {
         vrd_runtime::parallel_map(jobs, |job| self.run_segmentation(job.0, job.1))
-    }
-
-    /// Runs detection over many (sequence, bitstream) jobs concurrently;
-    /// the detection counterpart of [`VrDann::run_segmentation_batch`].
-    pub fn run_detection_batch(
-        &self,
-        jobs: &[(&Sequence, &EncodedVideo)],
-    ) -> Vec<Result<DetectionRun>> {
-        vrd_runtime::parallel_map(jobs, |job| self.run_detection(job.0, job.1))
     }
 }
 

@@ -4,8 +4,12 @@
 //! it has to stay within a small multiple of one GOP.
 
 use vr_dann::baselines::run_favos;
-use vr_dann::{PipelineOptions, ResilienceOptions, TrainTask, VrDann, VrDannConfig};
-use vrd_codec::{inject, packetize, FaultConfig, FaultKind};
+use vr_dann::{
+    ConcealingPolicy, PipelineEngine, PipelineOptions, ResilienceOptions, SegTask, SegmentationRun,
+    TrainTask, VrDann, VrDannConfig,
+};
+use vrd_codec::{inject, packetize, FaultConfig, FaultKind, FrameSource, ResilientFrameSource};
+use vrd_nn::LargeNet;
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 
 #[test]
@@ -190,14 +194,19 @@ fn pipelined_engine_memory_stays_bounded_under_anchor_loss() {
             threads: Some(threads),
             channel_capacity: None,
         };
-        let run = model
-            .run_segmentation_resilient_pipelined(
-                &seq,
-                &damaged,
-                &ResilienceOptions::default(),
-                &opts,
-            )
-            .unwrap();
+        let source = ResilientFrameSource::new(&damaged).unwrap();
+        let prepopulate = source.usable_anchor_displays().to_vec();
+        let task = SegTask::new(
+            &seq,
+            LargeNet::new(model.config().segment_profile),
+            model.config().seed,
+            &source.info(),
+        );
+        let policy = ConcealingPolicy::new(&ResilienceOptions::default());
+        let run: SegmentationRun = PipelineEngine::new(model.config(), model.nns(), task, policy)
+            .run_pipelined(source, &prepopulate, &opts)
+            .unwrap()
+            .into();
         assert_eq!(run.masks.len(), seq.len());
         assert!(run.concealment.anchors_lost > 0, "no anchors lost");
 

@@ -1,17 +1,25 @@
-//! Property tests pinning the two-lane pipelined executor
-//! (`run_*_pipelined`) bit-identical to the sequential engine: same masks,
-//! detections, traces, concealment counters and live-frame accounting over
-//! random GOP shapes × thread counts (1, 2, 4, 8) × strict/concealing
-//! policies. The wave-front fan-out and the decode-lane thread must be
-//! invisible in every output.
+//! Property tests pinning the engine driver's two-lane layout
+//! (`PipelineEngine::run_pipelined`) bit-identical to the sequential engine:
+//! same masks, detections, traces, concealment counters and live-frame
+//! accounting over random GOP shapes × thread counts (1, 2, 4, 8) ×
+//! strict/concealing policies. The wave-front fan-out and the decode-lane
+//! thread must be invisible in every output, and a stream that fails
+//! mid-way must fail the same way on both layouts.
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
+use std::time::Duration;
 use vr_dann::{
-    DetectionRun, PipelineOptions, ResilienceOptions, SegmentationRun, TrainTask, VrDann,
-    VrDannConfig,
+    ConcealingPolicy, DetTask, DetectionRun, FaultPolicy, FeatPropTask, PipelineEngine,
+    PipelineOptions, ResilienceOptions, SegTask, SegmentationRun, StrictPolicy, TaskPolicy,
+    TrainTask, VrDann, VrDannConfig, VrDannError,
 };
-use vrd_codec::{inject, BFrameMode, CodecConfig, FaultConfig, FaultKind};
+use vrd_codec::faults::PacketStream;
+use vrd_codec::{
+    inject, BFrameMode, CodecConfig, EncodedVideo, FaultConfig, FaultKind, FrameSource,
+    ResilientFrameSource, StreamInfo, StrictFrameSource,
+};
+use vrd_nn::LargeNet;
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 use vrd_video::Sequence;
 
@@ -95,6 +103,74 @@ fn pick_sequence(seq_sel: usize, frames: usize) -> Sequence {
     davis_sequence(SEQ_NAMES[seq_sel % SEQ_NAMES.len()], &cfg).unwrap()
 }
 
+fn seg_task<'a>(model: &VrDann, seq: &'a Sequence, info: &StreamInfo) -> SegTask<'a> {
+    let cfg = model.config();
+    SegTask::new(seq, LargeNet::new(cfg.segment_profile), cfg.seed, info)
+}
+
+fn det_task<'a>(model: &VrDann, seq: &'a Sequence, info: &StreamInfo) -> DetTask<'a> {
+    let cfg = model.config();
+    DetTask::new(seq, LargeNet::new(cfg.detect_profile), cfg.seed, info)
+}
+
+fn featprop_task<'a>(model: &VrDann, seq: &'a Sequence, info: &StreamInfo) -> FeatPropTask<'a> {
+    let cfg = model.config();
+    FeatPropTask::new(seq, LargeNet::new(cfg.segment_profile), cfg.seed, info)
+}
+
+/// `PipelineEngine::run_pipelined` over `source`, with the task `task`
+/// builds — the two-lane counterpart of the sequential `VrDann::run_*`
+/// entry points.
+fn pipelined<S, T, P, R>(
+    model: &VrDann,
+    source: S,
+    prepopulate: &[u32],
+    policy: P,
+    opts: &PipelineOptions,
+    task: impl FnOnce(&StreamInfo) -> T,
+) -> R
+where
+    S: FrameSource + Send,
+    T: TaskPolicy,
+    P: FaultPolicy,
+    R: From<vr_dann::EngineRun<T::Output>>,
+{
+    let task = task(&source.info());
+    PipelineEngine::new(model.config(), model.nns(), task, policy)
+        .run_pipelined(source, prepopulate, opts)
+        .unwrap()
+        .into()
+}
+
+fn strict_pipelined<T: TaskPolicy, R: From<vr_dann::EngineRun<T::Output>>>(
+    model: &VrDann,
+    encoded: &EncodedVideo,
+    opts: &PipelineOptions,
+    task: impl FnOnce(&StreamInfo) -> T,
+) -> R {
+    let source = StrictFrameSource::new(&encoded.bitstream).unwrap();
+    pipelined(model, source, &[], StrictPolicy::default(), opts, task)
+}
+
+fn concealing_pipelined<T: TaskPolicy, R: From<vr_dann::EngineRun<T::Output>>>(
+    model: &VrDann,
+    stream: &PacketStream,
+    res: &ResilienceOptions,
+    opts: &PipelineOptions,
+    task: impl FnOnce(&StreamInfo) -> T,
+) -> R {
+    let source = ResilientFrameSource::new(stream).unwrap();
+    let prepopulate = source.usable_anchor_displays().to_vec();
+    pipelined(
+        model,
+        source,
+        &prepopulate,
+        ConcealingPolicy::new(res),
+        opts,
+        task,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -115,7 +191,8 @@ proptest! {
                 threads: Some(threads),
                 channel_capacity: Some(cap),
             };
-            let piped = model.run_segmentation_pipelined(&seq, &encoded, &opts).unwrap();
+            let piped: SegmentationRun =
+                strict_pipelined(&model, &encoded, &opts, |i| seg_task(&model, &seq, i));
             assert_seg_identical(
                 &baseline,
                 &piped,
@@ -160,9 +237,8 @@ proptest! {
                 threads: Some(threads),
                 channel_capacity: None,
             };
-            let piped = model
-                .run_segmentation_resilient_pipelined(&seq, &damaged, &res, &opts)
-                .unwrap();
+            let piped: SegmentationRun =
+                concealing_pipelined(&model, &damaged, &res, &opts, |i| seg_task(&model, &seq, i));
             assert_seg_identical(
                 &baseline,
                 &piped,
@@ -194,9 +270,8 @@ fn detection_pipelined_matches_sequential_strict_and_resilient() {
             threads: Some(threads),
             channel_capacity: Some(4),
         };
-        let piped = model
-            .run_detection_pipelined(&seq, &encoded, &opts)
-            .unwrap();
+        let piped: DetectionRun =
+            strict_pipelined(&model, &encoded, &opts, |i| det_task(&model, &seq, i));
         assert_det_identical(&baseline, &piped, &format!("strict det, {threads} threads"));
     }
 
@@ -219,9 +294,8 @@ fn detection_pipelined_matches_sequential_strict_and_resilient() {
             threads: Some(threads),
             channel_capacity: Some(4),
         };
-        let piped = model
-            .run_detection_resilient_pipelined(&seq, &damaged, &res, &opts)
-            .unwrap();
+        let piped: DetectionRun =
+            concealing_pipelined(&model, &damaged, &res, &opts, |i| det_task(&model, &seq, i));
         assert_det_identical(
             &baseline,
             &piped,
@@ -241,9 +315,8 @@ fn featprop_pipelined_matches_sequential() {
             threads: Some(threads),
             channel_capacity: Some(4),
         };
-        let piped = model
-            .run_feature_propagation_pipelined(&seq, &encoded, &opts)
-            .unwrap();
+        let piped: SegmentationRun =
+            strict_pipelined(model, &encoded, &opts, |i| featprop_task(model, &seq, i));
         assert_seg_identical(&baseline, &piped, &format!("featprop, {threads} threads"));
     }
 }
@@ -276,9 +349,114 @@ fn adaptive_fallback_pipelined_matches_sequential() {
             threads: Some(threads),
             channel_capacity: Some(2),
         };
-        let piped = model
-            .run_segmentation_pipelined(&seq, &encoded, &opts)
-            .unwrap();
+        let piped: SegmentationRun =
+            strict_pipelined(&model, &encoded, &opts, |i| seg_task(&model, &seq, i));
         assert_seg_identical(&baseline, &piped, &format!("fallback, {threads} threads"));
+    }
+}
+
+/// Runs `f` on a thread of its own and returns its result, failing the test
+/// if `f` panics or has not returned within a minute (a decode lane that
+/// never shuts down would otherwise hang the suite).
+fn within_deadline<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(f()).is_ok());
+    let result = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("driver panicked or hung on a failing stream");
+    assert!(worker.join().expect("worker exits after sending"));
+    result
+}
+
+#[test]
+fn truncated_stream_fails_identically_on_both_layouts() {
+    // A bitstream cut after a few frames: the header parses, the first
+    // units decode, then a later unit errors. Both layouts must return the
+    // same error, and the two-lane one must shut its decode lane down
+    // (forward the error, drop the receiver, join) instead of hanging.
+    let model = seg_model();
+    let seq = pick_sequence(0, 48);
+    let encoded = model.encode(&seq).unwrap();
+    let cut = EncodedVideo {
+        bitstream: encoded.bitstream.slice(..encoded.bitstream.len() / 3),
+        ..encoded
+    };
+    let mut probe = StrictFrameSource::new(&cut.bitstream).unwrap();
+    let decoded = std::iter::from_fn(|| probe.next_unit())
+        .take_while(Result::is_ok)
+        .count();
+    assert!(
+        (3..seq.len()).contains(&decoded),
+        "cut should fail mid-stream, decoded {decoded} of {} units",
+        seq.len()
+    );
+
+    let run = |opts: Option<PipelineOptions>| {
+        let (seq, cut) = (seq.clone(), cut.clone());
+        within_deadline(move || {
+            let source = StrictFrameSource::new(&cut.bitstream).unwrap();
+            let task = seg_task(model, &seq, &source.info());
+            let engine =
+                PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
+            match opts {
+                None => engine.run(source, &[]),
+                Some(opts) => engine.run_pipelined(source, &[], &opts),
+            }
+            .map(|run| run.outputs.len())
+        })
+    };
+    let sequential = run(None).expect_err("a truncated strict stream must fail");
+    assert!(
+        matches!(sequential, VrDannError::Codec(_)),
+        "{sequential:?}"
+    );
+    for threads in [1, 2, 4] {
+        let piped = run(Some(PipelineOptions {
+            threads: Some(threads),
+            channel_capacity: Some(2),
+        }))
+        .expect_err("a truncated strict stream must fail on two lanes");
+        assert_eq!(
+            std::mem::discriminant(&piped),
+            std::mem::discriminant(&sequential),
+            "error variant diverged at {threads} threads"
+        );
+        assert_eq!(piped, sequential, "error diverged at {threads} threads");
+    }
+}
+
+#[test]
+fn hook_error_shuts_the_decode_lane_down() {
+    // The hook fails while the decode lane is blocked on a full channel:
+    // the driver must drop its receiver before joining the lane, or the
+    // two lanes wait on each other forever.
+    let model = seg_model();
+    let seq = pick_sequence(0, 48);
+    let encoded = model.encode(&seq).unwrap();
+    let layouts = [
+        None,
+        Some(PipelineOptions {
+            threads: Some(2),
+            channel_capacity: Some(1),
+        }),
+    ];
+    for exec in layouts {
+        let (seq, encoded) = (seq.clone(), encoded.clone());
+        let err = within_deadline(move || {
+            let source = StrictFrameSource::new(&encoded.bitstream).unwrap();
+            let task = seg_task(model, &seq, &source.info());
+            PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default())
+                .run_with(source, &[], exec.as_ref(), |k, _, _| match k {
+                    0 | 1 => Ok(()),
+                    _ => Err(VrDannError::BadInput(format!("hook stopped at unit {k}"))),
+                })
+                .map(|run| run.outputs.len())
+        })
+        .expect_err("a hook error must end the run");
+        assert_eq!(
+            err,
+            VrDannError::BadInput("hook stopped at unit 2".into()),
+            "layout {exec:?}"
+        );
     }
 }

@@ -13,10 +13,10 @@
 //!   and p99 frame latency from a session's encoded-stream statistics and
 //!   reject sessions that would blow a configurable SLO;
 //! * [`session`] — one admitted session: a
-//!   [`StrictFrameSource`](vrd_codec::StrictFrameSource) +
-//!   [`PipelineEngine`](vr_dann::PipelineEngine) advanced incrementally
-//!   (the engine's resumable `prime`/`step`/`finish` API) behind a paced
-//!   decoder lane that stamps every NPU work item with its hand-over time;
+//!   [`StrictFrameSource`](vrd_codec::StrictFrameSource) driven through a
+//!   [`PipelineEngine`](vr_dann::PipelineEngine) by its one driver
+//!   (`run_with`), captured once and stamped by a paced decoder lane with
+//!   every NPU work item's hand-over time;
 //! * [`sched`] — the shared virtual NPU: replay the merged per-session work
 //!   under per-stream FIFO or cross-session lagged batching, with bounded
 //!   per-session queues and backpressure, using `vrd-sim`'s cost model for
@@ -82,7 +82,7 @@ pub use sched::{
 };
 pub use server::{admit_and_drive, serve, ServeConfig, ServeReport, SessionReport};
 pub use session::{
-    drive_session, drive_session_checkpointed, drive_session_pipelined, drive_template,
-    drive_template_pipelined, DrivenSession, SessionCheckpoint, SessionSpec, SessionState,
-    SessionTemplate, TemplateItem, WorkItem,
+    drive_session, drive_session_checkpointed, drive_template, drive_template_pipelined,
+    DrivenSession, SessionCheckpoint, SessionSpec, SessionState, SessionTemplate, TemplateItem,
+    WorkItem,
 };

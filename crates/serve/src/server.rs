@@ -14,10 +14,8 @@ use crate::admission::{
 };
 use crate::error::{Result, ServeError};
 use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
-use crate::session::{
-    drive_session, drive_session_pipelined, DrivenSession, SessionSpec, SessionState,
-};
-use vr_dann::{PipelineOptions, VrDann};
+use crate::session::{drive_session, DrivenSession, SessionSpec, SessionState};
+use vr_dann::VrDann;
 use vrd_codec::EncodedVideo;
 use vrd_nn::LargeNet;
 use vrd_sim::SimConfig;
@@ -49,12 +47,6 @@ pub struct ServeConfig {
     /// Worker threads driving sessions (`None` = the runtime's detected
     /// count). Thread count never changes results, only wall time.
     pub threads: Option<usize>,
-    /// Drive each admitted session on the engine's two-lane pipelined
-    /// executor (`Some`) instead of the sequential stepper (`None`, the
-    /// default). The stamped work — and therefore every scheduler outcome —
-    /// is byte-identical either way (pinned by
-    /// `pipelined_serve_matches_sequential`); only wall-clock time changes.
-    pub pipeline: Option<PipelineOptions>,
 }
 
 impl Default for ServeConfig {
@@ -66,7 +58,6 @@ impl Default for ServeConfig {
             slo: SloConfig::default(),
             sim: SimConfig::default(),
             threads: None,
-            pipeline: None,
         }
     }
 }
@@ -164,12 +155,7 @@ pub fn admit_and_drive(
     let driven: Vec<vr_dann::Result<DrivenSession>> =
         vrd_runtime::parallel_map_with(&admitted_jobs, threads, |&(session, r, spec)| {
             let (seq, encoded) = requests[r];
-            match &cfg.pipeline {
-                Some(pipe) => {
-                    drive_session_pipelined(model, session, seq, encoded, &spec, &cfg.sim, pipe)
-                }
-                None => drive_session(model, session, seq, encoded, &spec, &cfg.sim),
-            }
+            drive_session(model, session, seq, encoded, &spec, &cfg.sim)
         });
     let mut sessions_driven = Vec::with_capacity(driven.len());
     for (d, &(session, r, _)) in driven.into_iter().zip(&admitted_jobs) {

@@ -1,23 +1,25 @@
-//! One admitted session: a paced decoder lane feeding a resumable
-//! [`PipelineEngine`].
+//! One admitted session: a paced decoder lane feeding a [`PipelineEngine`].
 //!
-//! The session driver is where the real recognition work happens — it pulls
-//! [`DecodedUnit`](vrd_codec::DecodedUnit)s from a
-//! [`StrictFrameSource`](vrd_codec::StrictFrameSource) and advances the
-//! engine one `step()` at a time, so NN-L/NN-S actually run and the masks
-//! are produced exactly as a standalone
-//! [`run_segmentation`](vr_dann::VrDann::run_segmentation) call would.
-//! Alongside the compute it clocks a per-session *decoder lane* with
-//! `vrd-sim`'s decoder timing model: frame `k` arrives at
-//! `start_offset + k·interval`, the decoder serves frames sequentially
+//! Every session entry point is one private capture over the engine's
+//! driver, [`PipelineEngine::run_with`]: the engine pulls
+//! [`DecodedUnit`](vrd_codec::DecodedUnit)s from a [`StrictFrameSource`] —
+//! inline, or on the two-lane pipelined layout — so NN-L/NN-S actually run
+//! and the masks are produced exactly as a standalone
+//! [`run_segmentation`](vr_dann::VrDann::run_segmentation) call would. The
+//! driver's hook records each emitted unit of NPU work with its triggering
+//! unit and its decoder service time from `vrd-sim`'s decoder timing model
 //! (full reconstruction for anchors and NN-L-rerouted frames, MV-only
-//! extraction otherwise), and every emitted [`WorkItem`] carries the
-//! hand-over instant the shared-NPU scheduler replays.
+//! extraction otherwise), and, when asked, snapshots the engine after every
+//! NN-L anchor.
+//!
+//! The capture is a [`SessionTemplate`] with pacing left symbolic;
+//! [`SessionTemplate::instantiate`] clocks the decoder lane for one
+//! [`SessionSpec`]: frame `k` arrives at `start_offset + k·interval`, the
+//! decoder serves frames sequentially, and every emitted [`WorkItem`]
+//! carries the hand-over instant the shared-NPU scheduler replays.
 
 use vr_dann::engine::{SegTask, StrictPolicy};
-use vr_dann::{
-    ComputeMode, EngineCheckpoint, PipelineEngine, PipelineOptions, PipelineWave, Result, VrDann,
-};
+use vr_dann::{ComputeMode, EngineCheckpoint, PipelineEngine, PipelineOptions, Result, VrDann};
 use vrd_codec::{EncodedVideo, FrameSource, FrameType, StrictFrameSource};
 use vrd_nn::LargeNet;
 use vrd_sim::{simulate_stream, ExecMode, ParallelOptions, SimConfig};
@@ -238,71 +240,14 @@ pub fn drive_template(
     encoded: &EncodedVideo,
     sim: &SimConfig,
 ) -> Result<SessionTemplate> {
-    let mut source = StrictFrameSource::new(&encoded.bitstream)?;
-    let info = source.info();
-    let task = SegTask::new(
-        seq,
-        LargeNet::new(model.config().segment_profile),
-        model.config().seed,
-        &info,
-    );
-    let mut engine =
-        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-    engine.prime(&info, &[]);
-
-    let px = (info.width * info.height) as f64;
-    let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
-    let mut k = 0usize;
-    while let Some(unit) = source.next_unit() {
-        let unit = unit?;
-        let arrive_idx = k;
-        k += 1;
-        let Some(work) = engine.step(unit)? else {
-            continue;
-        };
-        let cpp = if work.full_decode {
-            sim.decoder.cycles_per_pixel_full
-        } else {
-            sim.decoder.cycles_per_pixel_mv
-        };
-        items.push(TemplateItem {
-            display: work.display,
-            ftype: work.ftype,
-            ops: work.ops,
-            uses_large_model: work.uses_large_model,
-            arrive_idx,
-            decode_ns: px * cpp / sim.decoder.freq_hz * 1e9,
-        });
-    }
-    let totals = source.totals();
-    let peak = source.peak_live_frames();
-    let run = engine.finish(totals, peak)?;
-    let isolated = simulate_stream(
-        run.trace.frames.iter(),
-        run.trace.scheme,
-        run.trace.width,
-        run.trace.height,
-        run.trace.mb_size,
-        ExecMode::VrDannParallel(ParallelOptions::default()),
-        sim,
-    );
-    Ok(SessionTemplate {
-        name: seq.name.clone(),
-        compute: model.config().compute,
-        frames: run.outputs.len(),
-        peak_live_frames: run.peak_live_frames,
-        total_ops: run.trace.total_ops(),
-        switches_in_order: run.trace.model_switches_in_order(),
-        isolated_ns: isolated.total_ns,
-        items,
-    })
+    Ok(capture(model, seq, encoded, sim, None, false)?.0)
 }
 
-/// [`drive_template`] on the engine's two-lane pipelined executor: a
-/// decode-lane thread owns the [`StrictFrameSource`] and feeds units
-/// through a bounded stage channel while this thread plans them and fans
-/// B-frame reconstruction out wave-front-style
-/// ([`PipelineEngine::step_pipelined`]).
+/// [`drive_template`] on the engine's two-lane pipelined executor
+/// ([`PipelineEngine::run_with`]): a decode-lane thread owns the
+/// [`StrictFrameSource`] and feeds units through a bounded stage channel
+/// while this thread plans them and fans B-frame reconstruction out
+/// wave-front-style.
 ///
 /// The captured template is **byte-identical** to the sequential
 /// [`drive_template`] — every [`TemplateItem`] derives from the engine's
@@ -321,88 +266,7 @@ pub fn drive_template_pipelined(
     sim: &SimConfig,
     pipe: &PipelineOptions,
 ) -> Result<SessionTemplate> {
-    let source = StrictFrameSource::new(&encoded.bitstream)?;
-    let info = source.info();
-    let task = SegTask::new(
-        seq,
-        LargeNet::new(model.config().segment_profile),
-        model.config().seed,
-        &info,
-    );
-    let mut engine =
-        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-    engine.prime(&info, &[]);
-
-    let px = (info.width * info.height) as f64;
-    let mut wave = PipelineWave::new(pipe.resolved_threads());
-    let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
-    let (tx, rx) = vrd_runtime::stage_channel(pipe.resolved_capacity());
-    let (stepped, totals, peak) = std::thread::scope(|s| {
-        let decode_lane = s.spawn(move || {
-            let mut source = source;
-            let mut k = 0usize;
-            while let Some(unit) = source.next_unit() {
-                let fatal = unit.is_err();
-                if tx.send((k, unit)).is_err() || fatal {
-                    break;
-                }
-                k += 1;
-            }
-            (source.totals(), source.peak_live_frames())
-        });
-        let mut stepped = Ok(());
-        while let Some((arrive_idx, unit)) = rx.recv() {
-            let advanced = (|| -> Result<()> {
-                let Some(work) = engine.step_pipelined(unit?, &mut wave)? else {
-                    return Ok(());
-                };
-                let cpp = if work.full_decode {
-                    sim.decoder.cycles_per_pixel_full
-                } else {
-                    sim.decoder.cycles_per_pixel_mv
-                };
-                items.push(TemplateItem {
-                    display: work.display,
-                    ftype: work.ftype,
-                    ops: work.ops,
-                    uses_large_model: work.uses_large_model,
-                    arrive_idx,
-                    decode_ns: px * cpp / sim.decoder.freq_hz * 1e9,
-                });
-                Ok(())
-            })();
-            if let Err(e) = advanced {
-                stepped = Err(e);
-                break;
-            }
-        }
-        engine.note_peak_inflight(rx.peak_len());
-        drop(rx);
-        let (totals, peak) = decode_lane.join().expect("decode lane never panics");
-        (stepped, totals, peak)
-    });
-    stepped?;
-    engine.drain_wave(&mut wave)?;
-    let run = engine.finish(totals, peak)?;
-    let isolated = simulate_stream(
-        run.trace.frames.iter(),
-        run.trace.scheme,
-        run.trace.width,
-        run.trace.height,
-        run.trace.mb_size,
-        ExecMode::VrDannParallel(ParallelOptions::default()),
-        sim,
-    );
-    Ok(SessionTemplate {
-        name: seq.name.clone(),
-        compute: model.config().compute,
-        frames: run.outputs.len(),
-        peak_live_frames: run.peak_live_frames,
-        total_ops: run.trace.total_ops(),
-        switches_in_order: run.trace.model_switches_in_order(),
-        isolated_ns: isolated.total_ns,
-        items,
-    })
+    Ok(capture(model, seq, encoded, sim, Some(pipe), false)?.0)
 }
 
 /// Drives one session to exhaustion: decode → engine step → stamped work
@@ -424,28 +288,11 @@ pub fn drive_session(
     Ok(drive_template(model, seq, encoded, sim)?.instantiate(session, spec))
 }
 
-/// [`drive_session`] on the pipelined executor. The stamped work items are
-/// byte-identical to the sequential drive (see
-/// [`drive_template_pipelined`]); only wall-clock time changes.
-///
-/// # Errors
-/// Propagates bitstream decode errors and engine reconstruction failures.
-pub fn drive_session_pipelined(
-    model: &VrDann,
-    session: usize,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    spec: &SessionSpec,
-    sim: &SimConfig,
-    pipe: &PipelineOptions,
-) -> Result<DrivenSession> {
-    Ok(drive_template_pipelined(model, seq, encoded, sim, pipe)?.instantiate(session, spec))
-}
-
 /// [`drive_session`] that also snapshots a [`SessionCheckpoint`] after
 /// every NN-L anchor — the natural recovery points: each anchor refreshes
 /// the reference window the following B-frames lean on, so restoring at an
-/// anchor bounds the replay to one GOP.
+/// anchor bounds the replay to one GOP. The decoder-lane clock of each
+/// checkpoint is the anchor item's stamped `ready_ns`.
 ///
 /// # Errors
 /// Propagates bitstream decode errors and engine reconstruction failures.
@@ -457,27 +304,40 @@ pub fn drive_session_checkpointed(
     spec: &SessionSpec,
     sim: &SimConfig,
 ) -> Result<(DrivenSession, Vec<SessionCheckpoint>)> {
-    let mut ckpts = Vec::new();
-    let driven = drive_core(model, session, seq, encoded, spec, sim, &mut ckpts)?;
+    let (tpl, anchors) = capture(model, seq, encoded, sim, None, true)?;
+    let driven = tpl.instantiate(session, spec);
+    let ckpts = anchors
+        .into_iter()
+        .map(|(items_emitted, engine)| SessionCheckpoint {
+            items_emitted,
+            units_consumed: tpl.items[items_emitted - 1].arrive_idx + 1,
+            decode_clock_ns: driven.items[items_emitted - 1].ready_ns,
+            engine,
+        })
+        .collect();
     Ok((driven, ckpts))
 }
 
-/// The live checkpointing walk: unlike the template path it must stamp the
-/// decoder lane *while* the engine runs, because every anchor checkpoint
-/// snapshots the lane clock alongside the engine state. Its stamping
-/// arithmetic is the same op-for-op as
-/// [`SessionTemplate::instantiate_prefix`], pinned byte-identical by
-/// `checkpointed_drive_is_identical_and_snapshots_every_anchor`.
-fn drive_core(
+/// The one session walk: drives the stream through
+/// [`PipelineEngine::run_with`] on the lane layout `exec` picks, records
+/// every emission with its triggering unit and decoder service time, and
+/// closes with the isolated-hardware simulation. With `checkpoint` set it
+/// also snapshots the engine after every NN-L emission, paired with the
+/// number of items emitted so far; that needs the inline layout, because
+/// a snapshot cannot see a wave's deferred jobs.
+fn capture(
     model: &VrDann,
-    session: usize,
     seq: &Sequence,
     encoded: &EncodedVideo,
-    spec: &SessionSpec,
     sim: &SimConfig,
-    checkpoints: &mut Vec<SessionCheckpoint>,
-) -> Result<DrivenSession> {
-    let mut source = StrictFrameSource::new(&encoded.bitstream)?;
+    exec: Option<&PipelineOptions>,
+    checkpoint: bool,
+) -> Result<(SessionTemplate, Vec<(usize, EngineCheckpoint)>)> {
+    debug_assert!(
+        !checkpoint || exec.is_none(),
+        "checkpoints need the inline layout"
+    );
+    let source = StrictFrameSource::new(&encoded.bitstream)?;
     let info = source.info();
     let task = SegTask::new(
         seq,
@@ -485,50 +345,29 @@ fn drive_core(
         model.config().seed,
         &info,
     );
-    let mut engine =
-        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-    engine.prime(&info, &[]);
-
     let px = (info.width * info.height) as f64;
-    let mut items: Vec<WorkItem> = Vec::with_capacity(info.n_frames);
-    let mut t_decode = spec.start_offset_ns;
-    let mut k = 0usize;
-    while let Some(unit) = source.next_unit() {
-        let unit = unit?;
-        let arrival = spec.start_offset_ns + k as f64 * spec.frame_interval_ns;
-        k += 1;
-        let Some(work) = engine.step(unit)? else {
-            continue;
-        };
-        let cpp = if work.full_decode {
-            sim.decoder.cycles_per_pixel_full
-        } else {
-            sim.decoder.cycles_per_pixel_mv
-        };
-        let decode_ns = px * cpp / sim.decoder.freq_hz * 1e9;
-        t_decode = t_decode.max(arrival) + decode_ns;
-        items.push(WorkItem {
-            session,
-            idx: items.len(),
-            display: work.display,
-            ftype: work.ftype,
-            ops: work.ops,
-            uses_large_model: work.uses_large_model,
-            arrival_ns: arrival,
-            ready_ns: t_decode,
-        });
-        if work.uses_large_model {
-            checkpoints.push(SessionCheckpoint {
-                items_emitted: items.len(),
-                units_consumed: k,
-                decode_clock_ns: t_decode,
-                engine: engine.checkpoint()?,
+    let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
+    let mut anchors = Vec::new();
+    let run = PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default())
+        .run_with(source, &[], exec, |arrive_idx, work, engine| {
+            let cpp = if work.full_decode {
+                sim.decoder.cycles_per_pixel_full
+            } else {
+                sim.decoder.cycles_per_pixel_mv
+            };
+            items.push(TemplateItem {
+                display: work.display,
+                ftype: work.ftype,
+                ops: work.ops,
+                uses_large_model: work.uses_large_model,
+                arrive_idx,
+                decode_ns: px * cpp / sim.decoder.freq_hz * 1e9,
             });
-        }
-    }
-    let totals = source.totals();
-    let peak = source.peak_live_frames();
-    let run = engine.finish(totals, peak)?;
+            if checkpoint && work.uses_large_model {
+                anchors.push((items.len(), engine.checkpoint()?));
+            }
+            Ok(())
+        })?;
     let isolated = simulate_stream(
         run.trace.frames.iter(),
         run.trace.scheme,
@@ -538,9 +377,8 @@ fn drive_core(
         ExecMode::VrDannParallel(ParallelOptions::default()),
         sim,
     );
-    Ok(DrivenSession {
+    let template = SessionTemplate {
         name: seq.name.clone(),
-        session,
         compute: model.config().compute,
         frames: run.outputs.len(),
         peak_live_frames: run.peak_live_frames,
@@ -548,13 +386,17 @@ fn drive_core(
         switches_in_order: run.trace.model_switches_in_order(),
         isolated_ns: isolated.total_ns,
         items,
-    })
+    };
+    Ok((template, anchors))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_dann::{ComputeMode, TrainTask, VrDannConfig};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use vr_dann::{ComputeMode, TrainTask, VrDannConfig, VrDannError};
+    use vrd_codec::StreamInfo;
     use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 
     fn tiny_model() -> (VrDann, SuiteConfig) {
@@ -568,6 +410,69 @@ mod tests {
             VrDann::train(&train, TrainTask::Segmentation, vr_cfg).unwrap(),
             cfg,
         )
+    }
+
+    /// A primed strict segmentation engine for `seq`, stepped by hand.
+    fn primed_engine<'a>(
+        model: &'a VrDann,
+        seq: &'a Sequence,
+        info: &StreamInfo,
+    ) -> PipelineEngine<'a, SegTask<'a>, StrictPolicy> {
+        let task = SegTask::new(
+            seq,
+            LargeNet::new(model.config().segment_profile),
+            model.config().seed,
+            info,
+        );
+        let mut engine =
+            PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
+        engine.prime(info, &[]);
+        engine
+    }
+
+    /// The stamping oracle, written independently of the capture and
+    /// `instantiate`: steps `engine` by hand through the rest of `source`
+    /// and clocks a live decoder lane as it goes — from the stream start,
+    /// or from a checkpoint whose `units_consumed` units `source` has
+    /// already yielded.
+    fn stamp_walk(
+        engine: &mut PipelineEngine<'_, SegTask<'_>, StrictPolicy>,
+        source: &mut StrictFrameSource,
+        session: usize,
+        spec: &SessionSpec,
+        sim: &SimConfig,
+        from: Option<&SessionCheckpoint>,
+    ) -> Vec<WorkItem> {
+        let info = source.info();
+        let px = (info.width * info.height) as f64;
+        let (mut k, mut t_decode, first_idx) = from.map_or((0, spec.start_offset_ns, 0), |c| {
+            (c.units_consumed, c.decode_clock_ns, c.items_emitted)
+        });
+        let mut items: Vec<WorkItem> = Vec::new();
+        while let Some(unit) = source.next_unit() {
+            let arrival = spec.start_offset_ns + k as f64 * spec.frame_interval_ns;
+            k += 1;
+            let Some(work) = engine.step(unit.unwrap()).unwrap() else {
+                continue;
+            };
+            let cpp = if work.full_decode {
+                sim.decoder.cycles_per_pixel_full
+            } else {
+                sim.decoder.cycles_per_pixel_mv
+            };
+            t_decode = t_decode.max(arrival) + px * cpp / sim.decoder.freq_hz * 1e9;
+            items.push(WorkItem {
+                session,
+                idx: first_idx + items.len(),
+                display: work.display,
+                ftype: work.ftype,
+                ops: work.ops,
+                uses_large_model: work.uses_large_model,
+                arrival_ns: arrival,
+                ready_ns: t_decode,
+            });
+        }
+        items
     }
 
     #[test]
@@ -651,16 +556,10 @@ mod tests {
             frame_interval_ns: 1.5e6,
         };
         let live = drive_session(&model, 1, &seq, &encoded, &spec, &sim).unwrap();
-        let piped = drive_session_pipelined(
-            &model,
-            1,
-            &seq,
-            &encoded,
-            &spec,
-            &sim,
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let piped =
+            drive_template_pipelined(&model, &seq, &encoded, &sim, &PipelineOptions::default())
+                .unwrap()
+                .instantiate(1, &spec);
         assert_eq!(piped, live);
     }
 
@@ -712,16 +611,7 @@ mod tests {
 
         // Re-drive up to the crash point on a live engine, then restore.
         let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
-        let info = source.info();
-        let task = SegTask::new(
-            &seq,
-            LargeNet::new(model.config().segment_profile),
-            model.config().seed,
-            &info,
-        );
-        let mut engine =
-            PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-        engine.prime(&info, &[]);
+        let mut engine = primed_engine(&model, &seq, &source.info());
         for _ in 0..ckpt.units_consumed + 2 {
             if let Some(unit) = source.next_unit() {
                 engine.step(unit.unwrap()).unwrap();
@@ -735,33 +625,7 @@ mod tests {
         for _ in 0..ckpt.units_consumed {
             source.next_unit().unwrap().unwrap();
         }
-        let px = (info.width * info.height) as f64;
-        let mut t_decode = ckpt.decode_clock_ns;
-        let mut k = ckpt.units_consumed;
-        let mut tail: Vec<WorkItem> = Vec::new();
-        while let Some(unit) = source.next_unit() {
-            let arrival = spec.start_offset_ns + k as f64 * spec.frame_interval_ns;
-            k += 1;
-            let Some(work) = engine.step(unit.unwrap()).unwrap() else {
-                continue;
-            };
-            let cpp = if work.full_decode {
-                sim.decoder.cycles_per_pixel_full
-            } else {
-                sim.decoder.cycles_per_pixel_mv
-            };
-            t_decode = t_decode.max(arrival) + px * cpp / sim.decoder.freq_hz * 1e9;
-            tail.push(WorkItem {
-                session: 2,
-                idx: ckpt.items_emitted + tail.len(),
-                display: work.display,
-                ftype: work.ftype,
-                ops: work.ops,
-                uses_large_model: work.uses_large_model,
-                arrival_ns: arrival,
-                ready_ns: t_decode,
-            });
-        }
+        let tail = stamp_walk(&mut engine, &mut source, 2, &spec, &sim, Some(ckpt));
         assert_eq!(tail, straight.items[ckpt.items_emitted..]);
         let run = engine
             .finish(source.totals(), source.peak_live_frames())
@@ -772,24 +636,29 @@ mod tests {
     #[test]
     fn template_instantiation_matches_live_drive() {
         // One template, many pacings: every instantiation must be
-        // byte-identical to the (checkpointed) live drive under the same
-        // spec — including the f64 decoder-lane stamps.
+        // byte-identical to the checkpointed drive under the same spec and
+        // stamp exactly what a live decoder lane clocks (the hand-written
+        // oracle) — including the f64 decoder-lane stamps.
         let (model, cfg) = tiny_model();
         let seq = davis_sequence("cows", &cfg).unwrap();
         let encoded = model.encode(&seq).unwrap();
         let sim = SimConfig::default();
         let tpl = drive_template(&model, &seq, &encoded, &sim).unwrap();
-        for (session, (offset, interval)) in [(0.0, 1e6), (250.0, 1.5e6), (7.3e6, 0.4e6)]
-            .iter()
-            .enumerate()
-        {
+        // The last pacing outruns the decoder, so frames queue behind it.
+        let pacings = [(0.0, 1e6), (250.0, 1.5e6), (7.3e6, 0.4e6), (0.0, 1e3)];
+        for (session, (offset, interval)) in pacings.iter().enumerate() {
             let spec = SessionSpec {
                 start_offset_ns: *offset,
                 frame_interval_ns: *interval,
             };
             let (live, _) =
                 drive_session_checkpointed(&model, session, &seq, &encoded, &spec, &sim).unwrap();
-            assert_eq!(tpl.instantiate(session, &spec), live);
+            let stamped = tpl.instantiate(session, &spec);
+            assert_eq!(stamped, live);
+            let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
+            let mut engine = primed_engine(&model, &seq, &source.info());
+            let oracle = stamp_walk(&mut engine, &mut source, session, &spec, &sim, None);
+            assert_eq!(stamped.items, oracle);
         }
     }
 
@@ -843,6 +712,64 @@ mod tests {
             if k > 0 {
                 assert!(item.ready_ns >= driven.items[k - 1].ready_ns);
             }
+        }
+    }
+
+    #[test]
+    fn truncated_stream_fails_identically_on_both_layouts() {
+        // A bitstream cut after a few frames parses its header and then
+        // fails mid-stream. Both capture layouts must return the same error
+        // without hanging or panicking the decode lane.
+        let (model, cfg) = tiny_model();
+        let seq = davis_sequence("cows", &cfg).unwrap();
+        let encoded = model.encode(&seq).unwrap();
+        let cut = EncodedVideo {
+            bitstream: encoded.bitstream.slice(..encoded.bitstream.len() * 3 / 4),
+            ..encoded
+        };
+        let mut probe = StrictFrameSource::new(&cut.bitstream).unwrap();
+        let decoded = std::iter::from_fn(|| probe.next_unit())
+            .take_while(|u| u.is_ok())
+            .count();
+        assert!(
+            (3..seq.len()).contains(&decoded),
+            "cut should fail mid-stream, decoded {decoded} of {} units",
+            seq.len()
+        );
+        let sim = SimConfig::default();
+        let run = |pipe: Option<PipelineOptions>| {
+            let (model, seq, cut) = (model.clone(), seq.clone(), cut.clone());
+            let (tx, rx) = mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let captured = match pipe {
+                    None => drive_template(&model, &seq, &cut, &sim),
+                    Some(pipe) => drive_template_pipelined(&model, &seq, &cut, &sim, &pipe),
+                };
+                tx.send(captured.map(|t| t.items.len())).is_ok()
+            });
+            let captured = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("capture panicked or hung on a failing stream");
+            assert!(worker.join().expect("worker exits after sending"));
+            captured
+        };
+        let sequential = run(None).expect_err("a truncated stream must fail");
+        assert!(
+            matches!(sequential, VrDannError::Codec(_)),
+            "{sequential:?}"
+        );
+        for threads in [1, 2, 4] {
+            let piped = run(Some(PipelineOptions {
+                threads: Some(threads),
+                channel_capacity: Some(2),
+            }))
+            .expect_err("a truncated stream must fail on two lanes");
+            assert_eq!(
+                std::mem::discriminant(&piped),
+                std::mem::discriminant(&sequential),
+                "error variant diverged at {threads} threads"
+            );
+            assert_eq!(piped, sequential, "error diverged at {threads} threads");
         }
     }
 }
